@@ -53,12 +53,11 @@ from repro.engine.runner import (
 from repro.des.core import DesSimulator
 from repro.errors import ToleranceViolationError
 from repro.eval.core import EvaluatorPool
-from repro.kernels import kernels_enabled, kernels_info
+from repro.kernels import kernels_info
 from repro.model.application import Application
 from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
 from repro.runtime.faults import extend_fault_plans
-from repro.runtime.simulator import simulate
 from repro.schedule.estimation import FtEstimate
 from repro.schedule.table import ScheduleSet
 from repro.synthesis.strategies import StrategyResult, synthesize
@@ -325,31 +324,21 @@ def run_campaign_chunk(params: Mapping[str, object],
     slice_plans = chunk_slice(plans, int(params["chunk"]),
                               int(params["chunks"]))
 
-    des = None
     if intermittent > 0 or slot_faults > 0 or jitter > 0:
+        # The DES executes every plan: table-expressible ones
+        # bit-identically to replay, extended ones forward.
         des = DesSimulator(app, arch, result.mapping, result.policies,
                            fault_model, schedule)
-    batched = None
-    if des is None and kernels_enabled():
-        # Table-expressible plans only (no DES axes): the batched
-        # kernel replays them bit-identically to simulate(), falling
-        # back to the oracle per plan for anything it cannot prove.
-        from repro.kernels.batch import BatchedSimulator
-        batched = BatchedSimulator(app, arch, result.mapping,
-                                   result.policies, fault_model,
-                                   schedule)
+        outcomes = (des.simulate(plan) for plan in slice_plans)
+    else:
+        # Imported here, not at module level: the kernel module pulls
+        # in numpy, which synthesis-only commands should not pay for.
+        from repro.kernels.batch import replay_plans
+        outcomes = replay_plans(app, arch, result.mapping,
+                                result.policies, fault_model, schedule,
+                                slice_plans)
     stats = CampaignStats()
-    for plan in slice_plans:
-        if des is not None:
-            # The DES executes every plan: table-expressible ones
-            # bit-identically to replay, extended ones forward.
-            outcome = des.simulate(plan)
-        elif batched is not None:
-            outcome = batched.simulate_plan(plan)
-        else:
-            outcome = simulate(app, arch, result.mapping,
-                               result.policies, fault_model, schedule,
-                               plan)
+    for outcome in outcomes:
         stats.observe(outcome, bound=design.bound,
                       ff_length=result.estimate.ff_length,
                       deadline=app.deadline,

@@ -13,8 +13,8 @@ Commands
 ``verify``
     Synthesize a design and *prove* its tolerance claim: simulate
     every fault scenario within the budget, sharded through the batch
-    engine with trace-prefix reuse (parallel workers, resumable
-    checkpoints, byte-identical reports).
+    engine (parallel workers, resumable checkpoints, byte-identical
+    reports).
 ``fig7`` / ``fig8``
     Run the paper's evaluation sweeps (quick or paper profile).
 ``batch``
@@ -90,6 +90,7 @@ from repro.dse import (
 )
 from repro.engine import BACKENDS, BatchEngine, EngineConfig
 from repro.engine.workdir import DEFAULT_LEASE_TIMEOUT, work
+from repro.errors import ReproError
 from repro.eval import CACHE_DIR_ENV
 from repro.kernels import KERNELS_ENV, kernels_info
 from repro.lint import (
@@ -607,8 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify",
         help="synthesize and exhaustively verify: every fault "
-             "scenario simulated, sharded through the batch engine "
-             "with trace-prefix reuse")
+             "scenario simulated, sharded through the batch engine")
     add_workload_args(p_verify)
     add_search_args(p_verify)
     p_verify.add_argument("--chunks", type=_positive_int, default=4,
@@ -900,11 +900,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    A library error (any :class:`~repro.errors.ReproError`, e.g. an
+    invalid workload or an over-limit scenario count) prints one
+    ``repro: error: ...`` line and exits 2 — the code argparse uses
+    for usage errors — instead of a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate_engine_flags(parser, args)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as error:
+        print(f"{parser.prog}: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,7 +24,7 @@ plan:
 
 ``REPRO_DES=0`` (or ``false``/``off``/``no``) forces the oracle for
 table-expressible plans — the same escape-hatch pattern as
-``REPRO_VERIFY_INCREMENTAL``/``REPRO_EVAL_INCREMENTAL``: if the
+``REPRO_KERNELS``/``REPRO_EVAL_INCREMENTAL``: if the
 queue-ordered path ever drifted, flipping the variable isolates it
 without a code change. DES-only plans always use the event engine.
 """

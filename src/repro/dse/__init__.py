@@ -19,8 +19,7 @@ package explores the surface:
   pure jobs through the :mod:`repro.engine` batch engine (process-pool
   parallelism, resumable JSONL checkpoints, byte-identical serial vs
   parallel frontiers), each chunk sharing one
-  :class:`~repro.engine.cache.EstimationCache` across its synthesis
-  calls.
+  :class:`~repro.eval.EvaluatorPool` across its synthesis calls.
 
 See ``docs/dse.md`` for the full picture and
 :mod:`repro.experiments.pareto` for the multi-workload sweep built on

@@ -45,7 +45,6 @@ from repro.dse.space import (
     enumerate_candidates,
 )
 from repro.engine import journal
-from repro.engine.cache import Evaluator, EvaluatorPool
 from repro.engine.grid import grid_jobs
 from repro.engine.jobs import BatchJob
 from repro.engine.runner import (
@@ -54,6 +53,7 @@ from repro.engine.runner import (
     ProgressCallback,
 )
 from repro.errors import ReproError
+from repro.eval import Evaluator, EvaluatorPool
 from repro.kernels import kernels_info
 from repro.model.application import Application
 from repro.model.architecture import Architecture
@@ -566,9 +566,9 @@ def certify_frontier(config: DseConfig, report: DseReport) -> None:
 
     Re-derives each frontier candidate's design exactly as the chunk
     runners did (same tabu seed derivation, same checkpoint-count
-    transform, same transparency vector), sweeps **all** its fault
-    scenarios through the prefix-reuse verifier and annotates the
-    point in place:
+    transform, same transparency vector), replays **all** its fault
+    scenarios through :func:`repro.kernels.batch.replay_plans` and
+    annotates the point in place:
 
     * ``extras["certified"]`` — True/False, or None when the
       scenario count exceeds ``config.verify_max_scenarios`` (the
@@ -578,8 +578,8 @@ def certify_frontier(config: DseConfig, report: DseReport) -> None:
     Frontier points are shared with the archive, so the flags appear
     in both the ``frontier`` and ``archive`` report sections.
     """
-    from repro.ftcpg.scenarios import count_fault_plans
-    from repro.verify.core import ScenarioSweep
+    from repro.ftcpg.scenarios import count_fault_plans, iter_fault_plans
+    from repro.kernels.batch import replay_plans
     from repro.verify.stats import VerificationStats
 
     app, arch = load_campaign_workload(config.workload)
@@ -612,10 +612,10 @@ def certify_frontier(config: DseConfig, report: DseReport) -> None:
         schedule = evaluator.exact_schedule(
             policies, mapping, transparency,
             max_contexts=config.max_contexts)
-        sweep = ScenarioSweep(app, arch, mapping, policies,
-                              fault_model, schedule)
         stats = VerificationStats()
-        for outcome in sweep.results():
+        for outcome in replay_plans(app, arch, mapping, policies,
+                                    fault_model, schedule,
+                                    iter_fault_plans(app, policies, k)):
             stats.observe(outcome, transparency)
         point.extras["certified"] = stats.ok
         point.extras["verified_scenarios"] = stats.scenarios

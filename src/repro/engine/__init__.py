@@ -19,9 +19,9 @@ runs:
   reports;
 * :mod:`repro.engine.journal` — torn-tail-safe JSONL journals shared
   by the checkpoint file and the workdir result files;
-* :mod:`repro.engine.cache` — the evaluation caches: every sweep cell
-  shares one :class:`~repro.eval.EvaluatorPool` (the unified
-  evaluation core of :mod:`repro.eval`) memoizing the slack-sharing
+* evaluation caching — every sweep cell shares one
+  :class:`~repro.eval.EvaluatorPool` (the unified evaluation core of
+  :mod:`repro.eval`, re-exported here) memoizing the slack-sharing
   schedule estimate behind a canonical solution fingerprint — the
   dominant cost inside every cell — plus exact schedules and design
   metrics in deeper tiers.
@@ -38,14 +38,6 @@ from repro.engine.backends import (
     WorkdirBackend,
     create_backend,
 )
-from repro.engine.cache import (
-    CacheStats,
-    EstimationCache,
-    Evaluator,
-    EvaluatorPool,
-    EvaluatorStats,
-    solution_fingerprint,
-)
 from repro.engine.grid import grid_jobs
 from repro.engine.jobs import BatchJob, resolve_runner, run_job
 from repro.engine.runner import (
@@ -56,6 +48,13 @@ from repro.engine.runner import (
     run_batch,
 )
 from repro.engine.workdir import Workdir, WorkerSummary, work
+from repro.eval import (
+    CacheStats,
+    Evaluator,
+    EvaluatorPool,
+    EvaluatorStats,
+    solution_fingerprint,
+)
 
 __all__ = [
     "BACKENDS",
@@ -64,7 +63,6 @@ __all__ = [
     "BatchReport",
     "CacheStats",
     "EngineConfig",
-    "EstimationCache",
     "Evaluator",
     "EvaluatorPool",
     "EvaluatorStats",

@@ -17,9 +17,7 @@ synthesis flow:
 The tabu engine (:mod:`repro.synthesis.tabu`), the policy-refinement
 sweep and checkpoint descent (:mod:`repro.synthesis`), the Pareto
 explorer (:mod:`repro.dse`) and the fault-injection campaigns
-(:mod:`repro.campaigns`) are all wired through this layer; the legacy
-:class:`~repro.schedule.estimation_cache.EstimationCache` survives
-only as a deprecated shim over it.
+(:mod:`repro.campaigns`) are all wired through this layer.
 """
 
 from repro.eval.core import (

@@ -54,7 +54,6 @@ from repro.schedule.estimation import (
     FtEstimate,
     solution_fingerprint,
 )
-from repro.schedule.estimation_cache import CacheStats
 from repro.schedule.metrics import (
     FtMemoryOverhead,
     ScheduleMetrics,
@@ -88,6 +87,33 @@ def incremental_default() -> bool:
     """
     value = os.environ.get("REPRO_EVAL_INCREMENTAL", "1")
     return value.strip().lower() not in ("0", "false", "off", "no")
+
+
+@dataclass(frozen=True)
+class CacheStats:
+    """Hit/miss counters of one cache (or one cache tier)."""
+
+    hits: int
+    misses: int
+    entries: int
+
+    @property
+    def lookups(self) -> int:
+        """Total lookups served."""
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of lookups served from the cache (0 when unused)."""
+        if not self.lookups:
+            return 0.0
+        return self.hits / self.lookups
+
+    def merged(self, other: "CacheStats") -> "CacheStats":
+        """Counter-wise sum (for aggregating tiers or sweeps)."""
+        return CacheStats(hits=self.hits + other.hits,
+                          misses=self.misses + other.misses,
+                          entries=self.entries + other.entries)
 
 
 _EMPTY_STATS = CacheStats(hits=0, misses=0, entries=0)
@@ -392,10 +418,9 @@ class EvaluatorPool:
     The pool is the unit a sweep cell shares: one workload evaluated
     under several fault budgets (the ``k = 0`` NFT baseline plus the
     strategy's ``k``) or several strategies lands on the same handful
-    of evaluators. Unlike the deprecated
-    :class:`~repro.schedule.estimation_cache.EstimationCache` it never
-    binds to a first workload — problems are told apart by content,
-    so mixing workloads through one pool is safe by construction.
+    of evaluators. It never binds to a first workload — problems are
+    told apart by content, so mixing workloads through one pool is
+    safe by construction.
 
     ``cache_dir`` attaches a persistent :class:`~repro.eval.diskcache.
     DiskCache` shared by all evaluators, so sweeps warm-start across

@@ -2,15 +2,13 @@
 
 Every evaluation-layer cache answers questions about one *problem*:
 a fixed application graph, architecture, fault model and priority
-assignment. The legacy :class:`~repro.schedule.estimation_cache.
-EstimationCache` expressed that binding ad hoc — it latched the first
-``(app, arch, priorities)`` it saw and raised on object-identity
-mismatches. :class:`ScheduleProblem` replaces that with a canonical,
-hashable **fingerprint** of the problem content: two structurally
-identical workloads produce the same fingerprint regardless of object
-identity or construction order, and :meth:`ScheduleProblem.for_workload`
-interns instances so equal problems share one object (and therefore
-one :class:`~repro.eval.core.Evaluator` per pool).
+assignment. :class:`ScheduleProblem` captures that binding as a
+canonical, hashable **fingerprint** of the problem content: two
+structurally identical workloads produce the same fingerprint
+regardless of object identity or construction order, and
+:meth:`ScheduleProblem.for_workload` interns instances so equal
+problems share one object (and therefore one
+:class:`~repro.eval.core.Evaluator` per pool).
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from repro.engine.grid import grid_jobs
 from repro.engine.jobs import BatchJob
 from repro.engine.runner import BatchEngine, EngineConfig, JobOutcome
 from repro.eval.diskcache import CACHE_DIR_ENV
-from repro.ftcpg.scenarios import count_fault_plans
+from repro.ftcpg.scenarios import count_fault_plans, iter_fault_plans
 from repro.experiments.reporting import (
     group_cells_by_size,
     mean,
@@ -71,8 +71,8 @@ class CampaignSweepConfig:
             iterations=8, neighborhood=8, bus_contention=False))
     max_contexts: int = 200_000
     #: Also certify each cell's design exhaustively (the sweep sizes
-    #: are small enough that the prefix-reuse verifier covers the
-    #: whole scenario set); cells beyond the ceiling report ``None``.
+    #: are small enough that the batched replay covers the whole
+    #: scenario set); cells beyond the ceiling report ``None``.
     certify: bool = True
     certify_max_scenarios: int = 50_000
 
@@ -171,20 +171,21 @@ def run_campaign_sweep_cell(params: Mapping[str, object]) -> dict:
     cell["size"] = size
     cell["seed"] = seed
     if bool(params.get("certify", False)):
-        from repro.verify.core import ScenarioSweep
+        from repro.kernels.batch import replay_plans
         from repro.verify.stats import VerificationStats
-        total = count_fault_plans(design.app, design.result.policies,
+        policies = design.result.policies
+        total = count_fault_plans(design.app, policies,
                                   design.fault_model.k)
         if total > int(params["certify_max_scenarios"]):
             cell["verify_ok"] = None
             cell["verified_scenarios"] = 0
         else:
-            sweep = ScenarioSweep(
-                design.app, design.arch, design.result.mapping,
-                design.result.policies, design.fault_model,
-                design.schedule)
             stats = VerificationStats()
-            for outcome in sweep.results():
+            for outcome in replay_plans(
+                    design.app, design.arch, design.result.mapping,
+                    policies, design.fault_model, design.schedule,
+                    iter_fault_plans(design.app, policies,
+                                     design.fault_model.k)):
                 stats.observe(outcome)
             cell["verify_ok"] = stats.ok
             cell["verified_scenarios"] = stats.scenarios

@@ -212,12 +212,9 @@ class PlanEnumeration:
     ``copies[d]`` is the d-th copy in enumeration order (process
     declaration order, then copy index), ``copy_plans[d]`` its
     recovery plan, and ``options[d]`` its admissible per-segment fault
-    distributions, ordered by total then lexicographically. Both
-    :func:`iter_fault_plans` and the scenario-sweep verifier
-    (:mod:`repro.verify.core`) walk exactly this tree — sharing the
-    tables is what makes the sweep's emission order *structurally*
-    identical to the iterator's, rather than identical by parallel
-    reimplementation.
+    distributions, ordered by total then lexicographically.
+    :func:`iter_fault_plans` walks exactly this tree and
+    :func:`count_fault_plans` counts its leaves.
     """
 
     k: int
@@ -229,10 +226,7 @@ class PlanEnumeration:
         """DP table: ``leaves[d][b]`` = plans completable from copy
         ``d`` with ``b`` faults of budget left.
 
-        ``leaves[0][k]`` is the total plan count; the verifier uses
-        the full table to *skip* whole subtrees whose leaf range falls
-        outside a shard's contiguous scenario window, so a shard pays
-        only for the scenarios it simulates (plus the shared spine).
+        ``leaves[0][k]`` is the total plan count.
         """
         depth = len(self.copies)
         table = [[0] * (self.k + 1) for _ in range(depth + 1)]
@@ -327,7 +321,6 @@ def count_fault_plans(app: Application, policies: PolicyAssignment,
     Counted by dynamic programming over copies (no plan
     materialization), so it is safe to call on large instances before
     deciding whether exhaustive verification is feasible. Exactly
-    ``plan_enumeration(...).total`` — the same DP the scenario-sweep
-    verifier uses to skip out-of-shard subtrees.
+    ``plan_enumeration(...).total``.
     """
     return plan_enumeration(app, policies, k).total

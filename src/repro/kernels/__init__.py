@@ -17,7 +17,9 @@ problem (or one design's schedule) into flat integer-indexed tables
   :class:`~repro.schedule.estimation.EstimatorState`;
 * :mod:`repro.kernels.batch` — a batched scenario kernel advancing
   many fault plans of one design through the table replay with
-  delta ground truth and delta guard evaluation.
+  delta ground truth and delta guard evaluation, behind
+  :func:`~repro.kernels.batch.replay_plans`, the one switch point
+  every scenario-replay loop goes through.
 
 Bit-identity is the acceptance gate, exactly as for
 ``REPRO_EVAL_INCREMENTAL`` (PR 4) and ``REPRO_DES`` (PR 8): the

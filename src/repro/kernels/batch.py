@@ -35,6 +35,13 @@ numpy (when importable) accelerates only the int8/bool guard-state
 masks — all float values flow through plain Python floats, so no
 ``np.float64`` can leak into results or JSON payloads; without numpy
 the masks fall back to ``bytearray``.
+
+:func:`replay_plans` is the entry point the scenario-replay loops go
+through (``repro verify``, the campaign chunks, ``--certify`` sweeps,
+``dse --verify-frontier`` and
+:func:`repro.runtime.verify.verify_tolerance`): the batched kernel by
+default, one-shot :func:`~repro.runtime.simulator.simulate` per plan
+under ``REPRO_KERNELS=0``.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from collections.abc import Iterable, Iterator
 
 from repro.ftcpg.conditions import AttemptId
 from repro.ftcpg.scenarios import FaultPlan
-from repro.kernels import counters
+from repro.kernels import counters, kernels_enabled
 from repro.model.application import Application
 from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
@@ -532,3 +539,23 @@ class BatchedSimulator:
             errors=[],
             fired_entries=tuple(entries[j] for j in order),
         )
+
+
+def replay_plans(app: Application, arch: Architecture,
+                 mapping: CopyMapping, policies: PolicyAssignment,
+                 fault_model: FaultModel, schedule: ScheduleSet,
+                 plans: Iterable[FaultPlan],
+                 ) -> Iterator[SimulationResult]:
+    """Replay ``plans`` in order against one design's schedule tables.
+
+    The only scenario-replay switch point: :class:`BatchedSimulator`
+    when the kernels are enabled, the one-shot ``simulate()`` oracle
+    per plan under ``REPRO_KERNELS=0``. Both yield bit-identical
+    results (pinned by ``tests/test_oracle.py``), so callers fold the
+    stream without knowing which path produced it.
+    """
+    if kernels_enabled():
+        return BatchedSimulator(app, arch, mapping, policies,
+                                fault_model, schedule).results(plans)
+    return (simulate(app, arch, mapping, policies, fault_model,
+                     schedule, plan) for plan in plans)

@@ -57,12 +57,8 @@ def _copy_ground_truth(process_name: str, copy_index: int, copy_plan,
                        ) -> tuple[dict[AttemptId, bool], bool, int]:
     """Ground truth of one copy under a per-segment fault distribution.
 
-    Returns ``(executed, success, segments_done)``. Shared between the
-    whole-plan derivation below and the scenario-sweep verifier
-    (:mod:`repro.verify.core`), which rebuilds truth copy-by-copy
-    along the fault-plan enumeration tree — a copy's truth depends on
-    nothing but its own distribution, which is what makes that fork
-    legal.
+    Returns ``(executed, success, segments_done)``; a copy's truth
+    depends on nothing but its own distribution.
     """
     executed: dict[AttemptId, bool] = {}
     local_faults = 0
@@ -149,35 +145,8 @@ def simulate(
 ) -> SimulationResult:
     """Execute the schedule tables under one fault scenario."""
     truth = _derive_ground_truth(app, policies, plan)
-    fired = [e for e in schedule.entries
-             if _guard_fires(e, truth.executed)]
-    return _finish_simulation(app, arch, mapping, policies, fault_model,
-                              plan, truth, fired)
-
-
-def _finish_simulation(
-    app: Application,
-    arch: Architecture,
-    mapping: CopyMapping,
-    policies: PolicyAssignment,
-    fault_model: FaultModel,
-    plan: FaultPlan,
-    truth: _GroundTruth,
-    fired: list[TableEntry],
-) -> SimulationResult:
-    """Replay the already guard-filtered entries of one scenario.
-
-    ``fired`` must hold exactly the entries whose guards the plan's
-    ground truth satisfies, **in schedule-entry order** — the scenario
-    sweep of :mod:`repro.verify.core` derives that list incrementally
-    along shared fault-plan prefixes and re-enters here, so everything
-    from the replay ordering on is one shared implementation and the
-    two paths are bit-identical by construction. The event-driven
-    simulator (:mod:`repro.des.core`) drives the same
-    :class:`_ReplayState` with its queue-ordered entry stream, which
-    is what makes *its* table path bit-identical too.
-    """
-    fired = _replay_order(fired)
+    fired = _replay_order([e for e in schedule.entries
+                           if _guard_fires(e, truth.executed)])
     state = _ReplayState(app, arch, mapping, policies, fault_model,
                          plan, truth)
     state.prime(fired)

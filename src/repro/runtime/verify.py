@@ -2,16 +2,14 @@
 
 The verification engine proper lives in :mod:`repro.verify`: a
 streaming, exactly-mergeable :class:`~repro.verify.stats.
-VerificationStats`, a scenario sweep with trace-prefix reuse
-(:class:`~repro.verify.core.ScenarioSweep`), and a sharded runner
-fanning scenario windows through the batch engine
+VerificationStats` and a sharded runner fanning scenario windows
+through the batch engine
 (:func:`~repro.verify.runner.run_verification`). This module keeps
 the original small-instance API — synchronous, single-process, a
 :class:`VerificationReport` with the full failing
-:class:`SimulationResult` objects — on top of that core; the results
-are bit-identical to the legacy serial loop (and to
-``REPRO_VERIFY_INCREMENTAL=0``), just no longer re-simulated from
-``t = 0`` per scenario.
+:class:`SimulationResult` objects — on top of that core; scenarios
+replay through :func:`repro.kernels.batch.replay_plans`, bit-identical
+to one ``simulate()`` call per scenario.
 
 Exhaustive enumeration is exponential; callers should consult
 :func:`repro.ftcpg.scenarios.count_fault_plans` first (the
@@ -24,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ToleranceViolationError
-from repro.ftcpg.scenarios import count_fault_plans
+from repro.ftcpg.scenarios import count_fault_plans, iter_fault_plans
 from repro.model.application import Application
 from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
@@ -75,7 +73,7 @@ def verify_tolerance(
     max_scenarios: int = 100_000,
 ) -> VerificationReport:
     """Simulate every fault scenario with at most ``k`` faults."""
-    from repro.verify.core import ScenarioSweep
+    from repro.kernels.batch import replay_plans
     from repro.verify.stats import VerificationStats
 
     total = count_fault_plans(app, policies, fault_model.k)
@@ -85,11 +83,11 @@ def verify_tolerance(
             f"{max_scenarios}; verify a smaller instance")
     transparency = transparency or Transparency.none()
 
-    sweep = ScenarioSweep(app, arch, mapping, policies, fault_model,
-                          schedule)
     stats = VerificationStats()
     failures: list[SimulationResult] = []
-    for result in sweep.results():
+    for result in replay_plans(
+            app, arch, mapping, policies, fault_model, schedule,
+            iter_fault_plans(app, policies, fault_model.k)):
         stats.observe(result, transparency)
         if not result.ok:
             failures.append(result)

@@ -22,7 +22,6 @@ from repro.schedule.estimation import (
     estimate_ft_schedule,
     solution_fingerprint,
 )
-from repro.schedule.estimation_cache import CacheStats, EstimationCache
 from repro.schedule.conditional import ConditionalScheduler, synthesize_schedule
 from repro.schedule.table import EntryKind, ScheduleSet, TableEntry
 from repro.schedule.render import render_node_table, render_schedule_set
@@ -44,13 +43,15 @@ from repro.schedule.serialization import (
 )
 from repro.schedule.validation import assert_valid_schedule, validate_schedule
 
+# Last on purpose: repro.eval imports the scheduling modules above.
+from repro.eval.core import CacheStats
+
 __all__ = [
     "ConditionalScheduler",
     "CopyMapping",
     "EntryKind",
     "FaultFreeSchedule",
     "CacheStats",
-    "EstimationCache",
     "EstimatorState",
     "FtEstimate",
     "FtMemoryOverhead",

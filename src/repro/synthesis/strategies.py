@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from collections.abc import Mapping
 
 from repro.eval.core import EvaluatorPool
-from repro.schedule.estimation_cache import EstimationCache
 from repro.errors import SynthesisError
 from repro.model.application import Application
 from repro.model.architecture import Architecture
@@ -154,7 +153,7 @@ def _extend_process_map(app: Application,
 def nft_baseline(app: Application, arch: Architecture,
                  settings: TabuSettings | None = None,
                  priorities: Mapping[str, float] | None = None,
-                 cache: "EstimationCache | EvaluatorPool | None" = None,
+                 cache: EvaluatorPool | None = None,
                  ) -> NftBaseline:
     """Optimize the mapping ignoring fault tolerance.
 
@@ -187,7 +186,7 @@ def synthesize(
     settings: TabuSettings | None = None,
     baseline: NftBaseline | None = None,
     fixed_policies: Mapping[str, ProcessPolicy] | None = None,
-    cache: "EstimationCache | EvaluatorPool | None" = None,
+    cache: EvaluatorPool | None = None,
 ) -> StrategyResult:
     """Run one synthesis strategy and report its FTO.
 
@@ -195,8 +194,7 @@ def synthesize(
     optimization when several strategies are compared on one workload
     (as the Fig. 7 experiment does).
 
-    ``cache`` is an :class:`~repro.eval.EvaluatorPool` (or the
-    deprecated :class:`EstimationCache` shim) memoizing the
+    ``cache`` is an :class:`~repro.eval.EvaluatorPool` memoizing the
     schedule-length estimate across the whole run (tabu neighborhoods,
     refinement sweeps, checkpoint descent). When ``None`` a private
     per-call pool is used; passing one pool to several strategy runs

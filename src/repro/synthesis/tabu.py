@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from collections.abc import Callable, Mapping, Sequence
 
 from repro.eval.core import Evaluator, EvaluatorPool
-from repro.schedule.estimation_cache import EstimationCache
 from repro.model.application import Application
 from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
@@ -99,7 +98,7 @@ class TabuSearch:
         policy_space: PolicySpace | None = None,
         settings: TabuSettings | None = None,
         priorities: Mapping[str, float] | None = None,
-        cache: "EstimationCache | EvaluatorPool | None" = None,
+        cache: EvaluatorPool | None = None,
         evaluator: Evaluator | None = None,
     ) -> None:
         self._app = app

@@ -2,18 +2,14 @@
 
 The proof side of the synthesis flow: where campaigns *sample* fault
 scenarios, this package simulates **all** of them — sharded through
-the batch engine, with trace-prefix reuse along the shared fault-plan
-enumeration tree — and certifies the paper's central claim that the
-tables tolerate any ``k`` transient faults under the chosen
-transparency contract. :mod:`repro.runtime.verify` remains as a thin
-serial shim over this package.
+the batch engine and replayed through the batched scenario kernel —
+and certifies the paper's central claim that the tables tolerate any
+``k`` transient faults under the chosen transparency contract.
+:mod:`repro.runtime.verify` remains as a thin serial shim over this
+package.
 """
 
-from repro.verify.core import (
-    ScenarioSweep,
-    chunk_bounds,
-    incremental_default,
-)
+from repro.verify.core import chunk_bounds
 from repro.verify.runner import (
     DEFAULT_MAX_SCENARIOS,
     VerifyConfig,
@@ -34,12 +30,10 @@ __all__ = [
     "DEFAULT_MAX_SCENARIOS",
     "FaultCountBin",
     "FrozenStartStat",
-    "ScenarioSweep",
     "VerificationStats",
     "VerifyConfig",
     "VerifyReport",
     "chunk_bounds",
-    "incremental_default",
     "load_verify_workload",
     "merge_verify_cells",
     "run_verification",

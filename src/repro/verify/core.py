@@ -1,84 +1,14 @@
-"""The scenario sweep: exhaustive simulation with trace-prefix reuse.
+"""Scenario windows of the sharded verifier.
 
-The legacy verifier re-simulated every fault scenario from scratch:
-for each plan it re-derived the ground truth of *every* copy and
-re-filtered *every* table entry's guard, although consecutive plans in
-:func:`repro.ftcpg.scenarios.iter_fault_plans` order differ only from
-some copy onward. :class:`ScenarioSweep` walks the enumeration's
-recursion tree itself (one level per copy, sharing the
-:class:`~repro.ftcpg.scenarios.PlanEnumeration` tables with the
-iterator) and **forks the scenario state at the first differing fault
-branch**:
-
-* *ground truth* — a copy's executed attempts, success and progress
-  depend only on its own fault distribution
-  (:func:`repro.runtime.simulator._copy_ground_truth`), so the truth
-  dictionaries are pushed entering a branch and popped leaving it;
-* *guard filtering* — each conditional table entry is staged at the
-  tree levels its guard literals refer to; a branch checks only the
-  entries staged at its level, rejects them for the whole subtree on
-  the first mismatching literal, and re-stages survivors at their
-  next relevant level. An entry whose last literal matches is *fired*
-  for every scenario below the branch.
-
-At each leaf the accumulated fired entries are re-sorted into
-schedule-entry order and handed to the same
-:func:`~repro.runtime.simulator._finish_simulation` the one-shot
-:func:`~repro.runtime.simulator.simulate` path ends in, so the replay,
-the invariant checks and every reported error are one shared
-implementation — the **bit-identity invariant**: for every plan the
-sweep yields exactly the :class:`SimulationResult` that
-``simulate(...)`` returns (pinned by ``tests/test_verify.py``).
-``REPRO_VERIFY_INCREMENTAL=0`` (or ``incremental=False``) forces the
-one-shot oracle path everywhere, the escape hatch benchmarks and
-identity tests compare against — the same discipline as
-``REPRO_EVAL_INCREMENTAL`` in :mod:`repro.eval.core`.
-
-Sharding slices the scenario order into **contiguous** windows
-(:func:`chunk_bounds`) — not the stride slices campaigns use: stride
-would interleave scenarios from distant branches and destroy exactly
-the prefix locality the fork reuse feeds on. The
-:meth:`~repro.ftcpg.scenarios.PlanEnumeration.subtree_leaves` DP lets
-a shard skip whole subtrees outside its window without visiting them.
+``repro verify`` slices the :func:`repro.ftcpg.scenarios.
+iter_fault_plans` order into **contiguous** windows, one per engine
+chunk; each window is replayed through
+:func:`repro.kernels.batch.replay_plans`. The window layout is part of
+the report contract (every chunk records its ``start``/``stop``), so
+it stays fixed.
 """
 
 from __future__ import annotations
-
-import os
-from collections.abc import Iterator
-
-from repro.ftcpg.conditions import ConditionLiteral
-from repro.ftcpg.scenarios import (
-    FaultPlan,
-    iter_fault_plans,
-    plan_enumeration,
-)
-from repro.model.application import Application
-from repro.model.architecture import Architecture
-from repro.model.fault_model import FaultModel
-from repro.policies.types import PolicyAssignment
-from repro.runtime.simulator import (
-    SimulationResult,
-    _copy_ground_truth,
-    _finish_simulation,
-    _GroundTruth,
-    simulate,
-)
-from repro.schedule.mapping import CopyMapping
-from repro.schedule.table import ScheduleSet
-
-
-def incremental_default() -> bool:
-    """Process-wide default for the prefix-reuse sweep.
-
-    ``REPRO_VERIFY_INCREMENTAL=0`` (or ``false``/``off``/``no``)
-    forces full per-scenario re-simulation everywhere — the oracle
-    mode used by the identity tests and the benchmark baseline. Read
-    per :class:`ScenarioSweep` construction, so engine worker
-    processes inherit the choice through their environment.
-    """
-    value = os.environ.get("REPRO_VERIFY_INCREMENTAL", "1")
-    return value.strip().lower() not in ("0", "false", "off", "no")
 
 
 def chunk_bounds(total: int, chunk: int, chunks: int,
@@ -86,222 +16,10 @@ def chunk_bounds(total: int, chunk: int, chunks: int,
     """The contiguous scenario window ``[start, stop)`` of one shard.
 
     The windows partition ``range(total)`` exactly and differ in size
-    by at most one. Contiguous on purpose — consecutive scenarios
-    share the longest fault-plan prefixes, which is what the sweep's
-    state fork amortizes; the stride slices campaigns use
-    (:func:`repro.campaigns.sampling.chunk_slice`) would hand every
-    shard scenarios from maximally distant branches.
+    by at most one.
     """
     if chunks < 1:
         raise ValueError(f"chunks must be >= 1, got {chunks}")
     if not 0 <= chunk < chunks:
         raise ValueError(f"chunk must be in [0, {chunks}), got {chunk}")
     return chunk * total // chunks, (chunk + 1) * total // chunks
-
-
-#: One staged conditional entry: (entry index, literal stages grouped
-#: by tree level, index of the stage to check next).
-_Staged = tuple[int, tuple[tuple[int, tuple[ConditionLiteral, ...]],
-                           ...], int]
-
-
-class ScenarioSweep:
-    """Exhaustive scenario simulation over one design's schedule.
-
-    Yields, for a contiguous range of the
-    :func:`~repro.ftcpg.scenarios.iter_fault_plans` order, the exact
-    :class:`SimulationResult` of every scenario — via the forked
-    incremental walk by default, via one-shot ``simulate()`` calls
-    when ``incremental`` is off.
-    """
-
-    def __init__(self, app: Application, arch: Architecture,
-                 mapping: CopyMapping, policies: PolicyAssignment,
-                 fault_model: FaultModel, schedule: ScheduleSet, *,
-                 incremental: bool | None = None) -> None:
-        self._app = app
-        self._arch = arch
-        self._mapping = mapping
-        self._policies = policies
-        self._fault_model = fault_model
-        self._schedule = schedule
-        if incremental is None:
-            incremental = incremental_default()
-        self._incremental = incremental
-        self._enum = plan_enumeration(app, policies, fault_model.k)
-        self._leaves: list[list[int]] | None = None
-        self._base_fired: list[int] | None = None
-        self._seeds: list[list[_Staged]] | None = None
-
-    @property
-    def incremental(self) -> bool:
-        """Whether the sweep forks state along shared prefixes."""
-        return self._incremental
-
-    @property
-    def total(self) -> int:
-        """Number of scenarios (== ``count_fault_plans``)."""
-        return self._leaf_table()[0][self._fault_model.k]
-
-    def _leaf_table(self) -> list[list[int]]:
-        if self._leaves is None:
-            self._leaves = self._enum.subtree_leaves()
-        return self._leaves
-
-    # -- entry staging ---------------------------------------------------------
-
-    def _prepare_entries(self) -> None:
-        """Stage every conditional entry at its guard's tree levels.
-
-        Unconditional entries fire in every scenario (``base_fired``);
-        an entry whose guard references a copy outside the enumeration
-        can never fire and is dropped — the same verdicts the one-shot
-        guard filter reaches, just precomputed once.
-        """
-        if self._base_fired is not None:
-            return
-        depth_of = {key: d for d, key in enumerate(self._enum.copies)}
-        base_fired: list[int] = []
-        seeds: list[list[_Staged]] = [[] for _ in self._enum.copies]
-        for index, entry in enumerate(self._schedule.entries):
-            if not entry.guard.literals:
-                base_fired.append(index)
-                continue
-            by_depth: dict[int, list[ConditionLiteral]] = {}
-            unknown = False
-            for literal in entry.guard.literals:
-                depth = depth_of.get((literal.attempt.process,
-                                      literal.attempt.copy))
-                if depth is None:
-                    unknown = True
-                    break
-                by_depth.setdefault(depth, []).append(literal)
-            if unknown:
-                continue
-            stages = tuple((depth, tuple(literals))
-                           for depth, literals in sorted(by_depth.items()))
-            seeds[stages[0][0]].append((index, stages, 0))
-        self._base_fired = base_fired
-        self._seeds = seeds
-
-    # -- iteration -------------------------------------------------------------
-
-    def results(self, start: int = 0, stop: int | None = None,
-                ) -> Iterator[SimulationResult]:
-        """Simulate scenarios ``start .. stop-1`` of the enumeration."""
-        total = self.total
-        if stop is None:
-            stop = total
-        start = max(0, start)
-        stop = min(stop, total)
-        if start >= stop:
-            return iter(())
-        if not self._incremental:
-            return self._iter_full(start, stop)
-        return self._iter_incremental(start, stop)
-
-    def _iter_full(self, start: int, stop: int,
-                   ) -> Iterator[SimulationResult]:
-        """The oracle path: one-shot ``simulate()`` per plan."""
-        for index, plan in enumerate(iter_fault_plans(
-                self._app, self._policies, self._fault_model.k)):
-            if index >= stop:
-                break
-            if index < start:
-                continue
-            yield simulate(self._app, self._arch, self._mapping,
-                           self._policies, self._fault_model,
-                           self._schedule, plan)
-
-    def _iter_incremental(self, start: int, stop: int,
-                          ) -> Iterator[SimulationResult]:
-        """The forked walk over the shared enumeration tree."""
-        self._prepare_entries()
-        enum = self._enum
-        depth_count = len(enum.copies)
-        leaves = self._leaf_table()
-        entries = self._schedule.entries
-        base_fired = self._base_fired
-
-        # Mutable walk state, pushed entering a branch, popped leaving:
-        executed: dict = {}
-        copy_success: dict = {}
-        segments_done: dict = {}
-        chosen: list[tuple[int, ...]] = []
-        pending: list[list[_Staged]] = [list(seed)
-                                        for seed in self._seeds]
-        fired_acc: list[int] = []
-        counter = 0  # leaves passed, including skipped subtrees
-
-        def walk(depth: int, remaining: int,
-                 ) -> Iterator[SimulationResult]:
-            nonlocal counter
-            if depth == depth_count:
-                plan = FaultPlan(faults={
-                    key: counts
-                    for key, counts in zip(enum.copies, chosen)
-                    if sum(counts) > 0
-                })
-                truth = _GroundTruth(executed=executed,
-                                     copy_success=copy_success,
-                                     copy_segments_done=segments_done)
-                fired = [entries[i]
-                         for i in sorted(base_fired + fired_acc)]
-                counter += 1
-                yield _finish_simulation(
-                    self._app, self._arch, self._mapping,
-                    self._policies, self._fault_model, plan, truth,
-                    fired)
-                return
-            key = enum.copies[depth]
-            copy_plan = enum.copy_plans[depth]
-            staged = pending[depth]
-            for counts in enum.options[depth]:
-                used = sum(counts)
-                if used > remaining:
-                    break  # options ordered by total: the rest too
-                subtree = leaves[depth + 1][remaining - used]
-                if counter + subtree <= start:
-                    counter += subtree  # whole subtree before window
-                    continue
-                if counter >= stop:
-                    break  # whole window emitted
-                # -- fork: push this copy's truth ...
-                copy_exec, success, done = _copy_ground_truth(
-                    key[0], key[1], copy_plan, counts)
-                executed.update(copy_exec)
-                copy_success[key] = success
-                segments_done[key] = done
-                chosen.append(counts)
-                # ... and advance the entries staged at this level.
-                fired_mark = len(fired_acc)
-                moved: dict[int, int] = {}
-                for record in staged:
-                    stages, stage = record[1], record[2]
-                    fires = True
-                    for literal in stages[stage][1]:
-                        actual = copy_exec.get(literal.attempt)
-                        if actual is None or actual != literal.faulty:
-                            fires = False
-                            break
-                    if not fires:
-                        continue  # rejected for the whole subtree
-                    if stage + 1 == len(stages):
-                        fired_acc.append(record[0])
-                    else:
-                        nxt = stages[stage + 1][0]
-                        moved.setdefault(nxt, len(pending[nxt]))
-                        pending[nxt].append((record[0], stages,
-                                             stage + 1))
-                yield from walk(depth + 1, remaining - used)
-                # -- unfork.
-                del fired_acc[fired_mark:]
-                for nxt, mark in moved.items():
-                    del pending[nxt][mark:]
-                chosen.pop()
-                for attempt in copy_exec:
-                    del executed[attempt]
-                del copy_success[key]
-                del segments_done[key]
-
-        return walk(0, self._fault_model.k)

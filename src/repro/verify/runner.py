@@ -11,26 +11,26 @@ schedule tables promise.
 
 Execution model — the same discipline as :mod:`repro.campaigns`: the
 scenario order is split into ``chunks`` **contiguous** windows
-(:func:`repro.verify.core.chunk_bounds`; contiguous, not strided,
-because the sweep's prefix-reuse fork feeds on scenario adjacency).
-Each chunk is one pure :class:`~repro.engine.jobs.BatchJob` through
-the :class:`~repro.engine.runner.BatchEngine` — process-pool
-parallelism, resumable JSONL checkpoints, deterministic fold order.
-Every chunk re-derives the same design from the seed, sweeps its
-window, and returns streaming
+(:func:`repro.verify.core.chunk_bounds`). Each chunk is one pure
+:class:`~repro.engine.jobs.BatchJob` through the
+:class:`~repro.engine.runner.BatchEngine` — process-pool parallelism,
+resumable JSONL checkpoints, deterministic fold order. Every chunk
+re-derives the same design from the seed, replays its window through
+:func:`repro.kernels.batch.replay_plans`, and returns streaming
 :class:`~repro.verify.stats.VerificationStats`; the parent folds
 chunk stats in job-submission order, which makes serial and parallel
-verification reports byte-identical — and, because the sweep is
-bit-identical to one-shot simulation, identical to a run with
-``REPRO_VERIFY_INCREMENTAL=0`` as well.
+verification reports byte-identical — and, because the batched
+kernel is bit-identical to one-shot simulation, identical to a
+``REPRO_KERNELS=0`` run up to the report's ``kernels.enabled`` flag.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field
+from itertools import islice
+from pathlib import Path
 
 from repro.campaigns.runner import (
     load_campaign_workload,
@@ -49,7 +49,7 @@ from repro.engine.runner import (
 from repro.errors import ToleranceViolationError
 from repro.eval.core import EvaluatorPool
 from repro.ftcpg.scenarios import count_fault_plans, iter_fault_plans
-from repro.kernels import kernels_enabled, kernels_info
+from repro.kernels import kernels_info
 from repro.model.application import Application
 from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
@@ -57,7 +57,7 @@ from repro.model.transparency import Transparency
 from repro.runtime.faults import extend_fault_plans, sample_fault_plans
 from repro.synthesis.tabu import TabuSettings
 from repro.utils.rng import derive_seed
-from repro.verify.core import ScenarioSweep, chunk_bounds
+from repro.verify.core import chunk_bounds
 from repro.verify.stats import VerificationStats
 from repro.workloads.presets import brake_by_wire, fig5_example
 
@@ -65,8 +65,8 @@ from repro.workloads.presets import brake_by_wire, fig5_example
 CHUNK_RUNNER = "repro.verify.runner:run_verify_chunk"
 
 #: Default ceiling on exhaustively simulated scenarios. Far above the
-#: legacy serial verifier's 100k — sharding and prefix reuse are what
-#: make Fig. 7/8-scale scenario sets tractable — but still a guard
+#: legacy serial verifier's 100k — sharding and the batched kernel
+#: are what make Fig. 7/8-scale scenario sets tractable — but still a guard
 #: against accidentally exponential instances.
 DEFAULT_MAX_SCENARIOS = 2_000_000
 
@@ -98,7 +98,7 @@ class VerifyConfig:
     #: fault plans are extended with the axes below and executed
     #: one-shot through the event-driven simulator in the parent —
     #: they are beyond the table-expressible enumeration, so the
-    #: sharded prefix-reuse sweep cannot carry them.
+    #: sharded table-replay sweep cannot carry them.
     des_scenarios: int = 0
     intermittent: int = 1
     slot_faults: int = 1
@@ -179,9 +179,10 @@ def run_verify_chunk(params: Mapping[str, object]) -> dict:
     Pure function of its params (the engine's worker contract): the
     design and the scenario order derive from the seed alone, so every
     chunk reproduces the identical instance and only its contiguous
-    window differs. Whether the sweep runs forked or forced-full
-    (``REPRO_VERIFY_INCREMENTAL=0``) never shows in the result — the
-    two paths are bit-identical and the flag stays out of the payload.
+    window differs. Whether the window replays through the batched
+    kernel or the ``REPRO_KERNELS=0`` oracle never shows in the
+    result — the two paths are bit-identical and the flag stays out
+    of the payload.
     """
     app, arch, transparency = load_verify_workload(params["workload"])
     k = int(params["k"])
@@ -214,27 +215,18 @@ def run_verify_chunk(params: Mapping[str, object]) -> dict:
     bound = estimate_bound(app, arch, certified, k)
     start, stop = chunk_bounds(total, int(params["chunk"]),
                                int(params["chunks"]))
-    stats = VerificationStats()
-    if kernels_enabled():
-        # The batched kernel walks the identical enumeration order the
-        # sweep emits (iter_fault_plans), so the observed stream — and
-        # thus every merged cell — is bit-identical to the oracle path
-        # below (REPRO_KERNELS=0 forces it).
-        from itertools import islice
+    # Imported here, not at module level: the kernel module pulls in
+    # numpy, which CLI commands that never verify (``repro synth``)
+    # should not pay for.
+    from repro.kernels.batch import replay_plans
 
-        from repro.kernels.batch import BatchedSimulator
-        batched = BatchedSimulator(app, arch, result.mapping,
-                                   result.policies, fault_model,
-                                   schedule)
-        window = islice(iter_fault_plans(app, result.policies, k),
-                        start, stop)
-        for outcome in batched.results(window):
-            stats.observe(outcome, transparency)
-    else:
-        sweep = ScenarioSweep(app, arch, result.mapping,
-                              result.policies, fault_model, schedule)
-        for outcome in sweep.results(start, stop):
-            stats.observe(outcome, transparency)
+    stats = VerificationStats()
+    window = islice(iter_fault_plans(app, result.policies, k),
+                    start, stop)
+    for outcome in replay_plans(app, arch, result.mapping,
+                                result.policies, fault_model, schedule,
+                                window):
+        stats.observe(outcome, transparency)
 
     cache_stats = pool.stats()
     return {
@@ -448,7 +440,7 @@ def merge_verify_cells(config: VerifyConfig, cells: list[dict],
 def run_des_scenarios(config: VerifyConfig) -> dict:
     """Execute the config's DES-only scenarios one-shot (parent-side).
 
-    The sharded sweep walks the table-expressible enumeration tree;
+    The sharded sweep replays the table-expressible enumeration;
     intermittent windows, corrupted slots and jitter live outside it,
     so these scenarios are sampled (seed-derived, deterministic),
     extended with the configured axes, and run straight through

@@ -421,6 +421,40 @@ class TestSoundnessSeam:
                 f"{schedule.worst_case_length} beyond the {mode} "
                 f"bound {bound}")
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "known defect: estimate_bound falls below the exact worst case "
+        "on these MXR designs while the report reads certified"))
+    @pytest.mark.parametrize("workload_seed, k, seed", [
+        (352335221, 2, 1705325917),
+        (471905938, 3, 652257273),
+        (1483891569, 2, 1704736625),
+    ], ids=["s352335221-k2", "s471905938-k3", "s1483891569-k2"])
+    def test_known_unsound_bound(self, workload_seed, k, seed):
+        """Generated 12-process/2-node instances on which the
+        synthesized design's certified bound is below the exact worst
+        case (= simulated worst, e.g. 622.975 < 760.014 on the first).
+        Strict xfail: the test starts passing, and so fails, the
+        moment the estimator covers them."""
+        from repro.verify import VerifyConfig, run_verify_chunk, \
+            verify_jobs
+
+        config = VerifyConfig(
+            workload={"processes": 12, "nodes": 2,
+                      "seed": workload_seed},
+            k=k, chunks=1, seed=seed)
+        cell = run_verify_chunk(verify_jobs(config)[0].params_dict())
+        stats = cell["stats"]
+        if stats["failures"] \
+                or stats["worst_makespan"] != cell["exact_worst_case"]:
+            # Not an AssertionError: a changed instance fails outright
+            # instead of passing as the expected failure.
+            pytest.fail("the instance no longer has the reproducer's "
+                        "shape (certified, simulated worst = exact "
+                        "worst case); re-derive the reproducer")
+        assert cell["estimate_bound"] >= cell["exact_worst_case"], (
+            f"bound {cell['estimate_bound']} below the exact worst "
+            f"case {cell['exact_worst_case']}")
+
     SOUNDNESS_SEEDS = tuple(range(20))
     SOUNDNESS_SIZES = (4, 5)
     #: Checks per (seed, size): k=1 replication x 2 modes, k=2

@@ -275,6 +275,27 @@ class TestEngineFlagValidation:
         assert "invalid choice" in capsys.readouterr().err
 
 
+class TestLibraryErrorBoundary:
+    """A ReproError raised by a command prints one error line and
+    exits 2 (argparse's usage-error code), never a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "--processes", "0"],
+         "repro: error: need at least one process"),
+        (["verify", "--processes", "5", "--nodes", "2", "--k", "2",
+          "--iterations", "2", "--neighborhood", "2", "--chunks", "1",
+          "--max-scenarios", "2"],
+         "exceed the verification limit 2"),
+    ], ids=["invalid-workload", "scenario-limit"])
+    def test_repro_error_exits_two(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert err.count("\n") == 1
+        assert message in err
+        assert "Traceback" not in err
+
+
 class TestWorkdirCli:
     VERIFY = ["verify", "--processes", "5", "--nodes", "2",
               "--seed", "1", "--k", "1", "--iterations", "4",

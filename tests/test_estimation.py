@@ -275,20 +275,19 @@ class TestBudgetedSlackSharing:
             assert estimate.schedule_length == pytest.approx(140.0)
 
     def test_cache_keys_modes_separately(self, chain_app, two_nodes):
-        from repro.schedule import EstimationCache
+        from repro.eval import EvaluatorPool
         policies = PolicyAssignment.build(
             chain_app, ProcessPolicy.re_execution(1),
             {chain_app.process_names[0]:
              ProcessPolicy.re_execution(2)})
         mapping = make_mapping(chain_app, policies)
         fm = FaultModel(k=2)
-        cache = EstimationCache()
-        base = cache.estimate(chain_app, two_nodes, mapping, policies,
-                              fm)
-        budgeted = cache.estimate(chain_app, two_nodes, mapping,
-                                  policies, fm,
-                                  slack_sharing="budgeted")
-        assert cache.stats().misses == 2
+        pool = EvaluatorPool()
+        evaluator = pool.evaluator_for(chain_app, two_nodes, fm)
+        base = evaluator.estimate(policies, mapping)
+        budgeted = evaluator.estimate(policies, mapping,
+                                      slack_sharing="budgeted")
+        assert pool.stats().estimates.misses == 2
         assert budgeted.schedule_length >= base.schedule_length - 1e-9
-        assert cache.estimate(chain_app, two_nodes, mapping, policies,
-                              fm, slack_sharing="budgeted") is budgeted
+        assert evaluator.estimate(policies, mapping,
+                                  slack_sharing="budgeted") is budgeted

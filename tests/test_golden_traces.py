@@ -3,17 +3,18 @@
 For the paper's Fig. 5 example and the brake-by-wire case study, the
 full fired-entry trace of two pinned scenarios — fault-free and one
 deterministic max-fault plan — is diffed against a committed text
-artifact. Simulator refactors (including the scenario sweep's
-prefix-reuse fork) must reproduce these traces byte for byte; a
+artifact. Simulator refactors (including the batched scenario
+kernel) must reproduce these traces byte for byte; a
 legitimate behavior change regenerates them with
 
     REPRO_UPDATE_GOLDEN=1 pytest tests/test_golden_traces.py
 
 and the diff lands in review like any other code change.
 
-The same pinned scenarios are also cross-checked between the one-shot
-``simulate()`` path and the :class:`~repro.verify.core.ScenarioSweep`
-fork, so the golden files guard both implementations at once.
+The same pinned scenarios are also rendered through
+:func:`~repro.kernels.batch.replay_plans`, the replay path every
+exhaustive sweep takes, so the golden files guard the one-shot
+``simulate()`` oracle and the batched kernel at once.
 
 PR 8 adds golden **event traces** for the DES-only fault axes
 (intermittent windows, corrupted TDMA slots, release jitter): those
@@ -39,13 +40,13 @@ from repro.ftcpg.scenarios import (
     SlotFault,
     iter_fault_plans,
 )
+from repro.kernels.batch import replay_plans
 from repro.model import FaultModel
 from repro.policies import PolicyAssignment, ProcessPolicy
 from repro.runtime.simulator import SimulationResult, simulate
 from repro.schedule.conditional import synthesize_schedule
 from repro.schedule.table import EntryKind
 from repro.synthesis import initial_mapping
-from repro.verify.core import ScenarioSweep
 from repro.workloads.presets import brake_by_wire, fig5_example
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -137,15 +138,14 @@ class TestGoldenTraces:
         _check_golden(f"{name}_max_fault", _render_trace(result))
 
     def test_sweep_reproduces_pinned_traces(self, design):
-        """The prefix-reuse fork renders the same golden traces."""
+        """The sweep replay path renders the same golden traces."""
         name, (app, arch, mapping, policies, fm, schedule) = design
-        sweep = ScenarioSweep(app, arch, mapping, policies, fm,
-                              schedule, incremental=True)
         plans = list(iter_fault_plans(app, policies, fm.k))
         wanted = {0: f"{name}_fault_free"}
         wanted[plans.index(_max_fault_plan(app, policies, fm.k))] = \
             f"{name}_max_fault"
-        for index, result in enumerate(sweep.results()):
+        for index, result in enumerate(replay_plans(
+                app, arch, mapping, policies, fm, schedule, plans)):
             golden_name = wanted.get(index)
             if golden_name is None:
                 continue

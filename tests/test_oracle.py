@@ -57,15 +57,16 @@ from hypothesis import strategies as st
 from repro.campaigns.stats import estimate_bound
 from repro.des import DesSimulator
 from repro.eval.core import EvaluatorPool
+from repro.ftcpg.scenarios import iter_fault_plans
 from repro.kernels import KERNELS_ENV
 from repro.kernels.batch import BatchedSimulator
 from repro.model import FaultModel
 from repro.policies import PolicyAssignment, ProcessPolicy
+from repro.runtime.simulator import simulate
 from repro.schedule.estimation import EstimatorState, estimate_ft_schedule
 from repro.synthesis import initial_mapping, synthesize
 from repro.synthesis.moves import PolicyMove, RemapMove
 from repro.synthesis.tabu import TabuSettings
-from repro.verify.core import ScenarioSweep
 from repro.verify.stats import VerificationStats
 from repro.workloads.generator import GeneratorConfig, generate_workload
 
@@ -108,14 +109,15 @@ def _check_triangle(app, arch, strategy: str, k: int) -> None:
     schedule = evaluator.exact_schedule(design.policies,
                                         design.mapping,
                                         max_contexts=200_000)
-    sweep = ScenarioSweep(app, arch, design.mapping, design.policies,
-                          fault_model, schedule)
     des = DesSimulator(app, arch, design.mapping, design.policies,
                        fault_model, schedule)
     batched = BatchedSimulator(app, arch, design.mapping,
                                design.policies, fault_model, schedule)
     stats = VerificationStats()
-    for result in sweep.results():
+    for plan in iter_fault_plans(app, design.policies, k):
+        # The oracle leg: one-shot table replay of every scenario.
+        result = simulate(app, arch, design.mapping, design.policies,
+                          fault_model, schedule, plan)
         stats.observe(result)
         # DES vs simulator: the event-queue path reproduces the
         # replayed result bit for bit, scenario by scenario.

@@ -2,21 +2,24 @@
 
 Three layers:
 
-* the **scenario sweep** — plan order identical to
-  :func:`repro.ftcpg.scenarios.iter_fault_plans`, every yielded
-  result bit-identical to a one-shot ``simulate()``, contiguous
+* the **scenario replay** — :func:`repro.kernels.batch.replay_plans`
+  over each contiguous :func:`~repro.verify.chunk_bounds` window of
+  the :func:`repro.ftcpg.scenarios.iter_fault_plans` order, every
+  yielded result bit-identical to a one-shot ``simulate()`` and the
   windows partitioning the order exactly;
 * the **stats** — merging chunk aggregates in any grouping equals the
   single-stream fold, JSON round-trips, and the frozen-start records
   decide violations on exact spreads (the ``round(·, 6)`` boundary
   regression);
-* the **runner** — serial, parallel and ``REPRO_VERIFY_INCREMENTAL=0``
-  reports byte-identical, checkpoints resume, purity tripwires fire.
+* the **runner** — serial, parallel and ``REPRO_KERNELS=0`` reports
+  byte-identical (up to the ``kernels.enabled`` flag), checkpoints
+  resume, purity tripwires fire.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import islice
 
 import pytest
 
@@ -27,6 +30,7 @@ from repro.ftcpg.scenarios import (
     iter_fault_plans,
     plan_enumeration,
 )
+from repro.kernels.batch import replay_plans
 from repro.model import (
     Application,
     Architecture,
@@ -43,7 +47,6 @@ from repro.schedule import CopyMapping, synthesize_schedule
 from repro.synthesis.tabu import TabuSettings
 from repro.utils.mathutils import TIME_EPS
 from repro.verify import (
-    ScenarioSweep,
     VerificationStats,
     VerifyConfig,
     chunk_bounds,
@@ -75,13 +78,21 @@ def _design(app, arch, policies, mapping, k):
     return fm, schedule
 
 
+def _replay_window(app, arch, mapping, policies, fm, schedule,
+                   start=0, stop=None):
+    """Replay scenarios ``start .. stop-1`` of the enumeration."""
+    window = islice(iter_fault_plans(app, policies, fm.k), start, stop)
+    return list(replay_plans(app, arch, mapping, policies, fm,
+                             schedule, window))
+
+
 QUICK_SETTINGS = TabuSettings(iterations=4, neighborhood=4,
                               bus_contention=False)
 QUICK = dict(workload={"processes": 5, "nodes": 2, "seed": 1}, k=2,
              chunks=3, settings=QUICK_SETTINGS)
 
 
-class TestScenarioSweep:
+class TestScenarioReplay:
     @pytest.mark.parametrize("policy,k", [
         (ProcessPolicy.re_execution(2), 2),
         (ProcessPolicy.checkpointing(2, 2), 2),
@@ -97,21 +108,24 @@ class TestScenarioSweep:
              for name, p in policies.items()
              for copy in range(len(p.copies))})
         fm, schedule = _design(app, arch, policies, mapping, k)
-        sweep = ScenarioSweep(app, arch, mapping, policies, fm,
-                              schedule, incremental=True)
         plans = list(iter_fault_plans(app, policies, k))
-        results = list(sweep.results())
-        assert sweep.total == len(plans) == count_fault_plans(
-            app, policies, k)
-        assert len(results) == len(plans)
-        for plan, got in zip(plans, results):
-            want = simulate(app, arch, mapping, policies, fm,
-                            schedule, plan)
-            assert got.plan.faults == plan.faults
-            assert got.errors == want.errors
-            assert got.makespan == want.makespan
-            assert got.completed == want.completed
-            assert got.fired_entries == want.fired_entries
+        total = count_fault_plans(app, policies, k)
+        assert len(plans) == total
+        for chunks in (1, 3):
+            results = [
+                result for chunk in range(chunks)
+                for result in _replay_window(
+                    app, arch, mapping, policies, fm, schedule,
+                    *chunk_bounds(total, chunk, chunks))]
+            assert len(results) == len(plans)
+            for plan, got in zip(plans, results):
+                want = simulate(app, arch, mapping, policies, fm,
+                                schedule, plan)
+                assert got.plan.faults == plan.faults
+                assert got.errors == want.errors
+                assert got.makespan == want.makespan
+                assert got.completed == want.completed
+                assert got.fired_entries == want.fired_entries
 
     def test_window_partition(self, pipeline_setup):
         app, arch = pipeline_setup
@@ -120,19 +134,22 @@ class TestScenarioSweep:
         mapping = CopyMapping.from_process_map(
             {"A": "N1", "B": "N1", "C": "N2"}, policies)
         fm, schedule = _design(app, arch, policies, mapping, 2)
-        sweep = ScenarioSweep(app, arch, mapping, policies, fm,
-                              schedule, incremental=True)
-        whole = [(r.plan.faults, r.makespan) for r in sweep.results()]
+        total = count_fault_plans(app, policies, 2)
+        whole = [(r.plan.faults, r.makespan) for r in _replay_window(
+            app, arch, mapping, policies, fm, schedule)]
+        assert len(whole) == total
         for chunks in (1, 2, 4, 7):
-            windows = [chunk_bounds(sweep.total, c, chunks)
+            windows = [chunk_bounds(total, c, chunks)
                        for c in range(chunks)]
             assert windows[0][0] == 0
-            assert windows[-1][1] == sweep.total
+            assert windows[-1][1] == total
             for (__, hi), (lo, ___) in zip(windows, windows[1:]):
                 assert hi == lo  # contiguous, gap-free
             parts = [(r.plan.faults, r.makespan)
                      for lo, hi in windows
-                     for r in sweep.results(lo, hi)]
+                     for r in _replay_window(app, arch, mapping,
+                                             policies, fm, schedule,
+                                             lo, hi)]
             assert parts == whole
 
     def test_chunk_bounds_validated(self):
@@ -152,26 +169,6 @@ class TestScenarioSweep:
         for row in table:
             assert all(a <= b for a, b in zip(row, row[1:]))
 
-    def test_forced_full_oracle_matches(self, pipeline_setup,
-                                        monkeypatch):
-        app, arch = pipeline_setup
-        policies = PolicyAssignment.uniform(
-            app, ProcessPolicy.re_execution(1))
-        mapping = CopyMapping.from_process_map(
-            {"A": "N1", "B": "N1", "C": "N2"}, policies)
-        fm, schedule = _design(app, arch, policies, mapping, 1)
-        incremental = ScenarioSweep(app, arch, mapping, policies, fm,
-                                    schedule, incremental=True)
-        monkeypatch.setenv("REPRO_VERIFY_INCREMENTAL", "0")
-        forced = ScenarioSweep(app, arch, mapping, policies, fm,
-                               schedule)
-        assert not forced.incremental
-        got = [(r.plan.faults, r.makespan, tuple(r.errors))
-               for r in incremental.results()]
-        want = [(r.plan.faults, r.makespan, tuple(r.errors))
-                for r in forced.results()]
-        assert got == want
-
 
 class TestVerificationStats:
     def _results(self, pipeline_setup):
@@ -182,9 +179,8 @@ class TestVerificationStats:
             {"A": "N1", "B": "N1", "C": "N2"}, policies)
         fm, schedule = _design(app, arch, policies, mapping, 2)
         transparency = Transparency(frozen_processes=("C",))
-        sweep = ScenarioSweep(app, arch, mapping, policies, fm,
-                              schedule)
-        return list(sweep.results()), transparency
+        return (_replay_window(app, arch, mapping, policies, fm,
+                               schedule), transparency)
 
     def test_merge_equals_single_stream(self, pipeline_setup):
         results, transparency = self._results(pipeline_setup)
@@ -283,10 +279,15 @@ class TestVerifyRunner:
         parallel = run_verification(
             config, engine_config=EngineConfig(workers=2))
         assert serial.to_json() == parallel.to_json()
-        monkeypatch.setenv("REPRO_VERIFY_INCREMENTAL", "0")
+        serial_payload = json.loads(serial.to_json())
+        monkeypatch.setenv("REPRO_KERNELS", "0")
         forced = run_verification(
             config, engine_config=EngineConfig(workers=1))
-        assert forced.to_json() == serial.to_json()
+        # The hatch changes exactly one value: kernels.enabled.
+        forced_payload = json.loads(forced.to_json())
+        assert forced_payload["kernels"].pop("enabled") is False
+        serial_payload["kernels"].pop("enabled")
+        assert forced_payload == serial_payload
         assert serial.ok
         assert serial.stats.scenarios == serial.scenarios_total
         serial.raise_on_failure()
