@@ -1,14 +1,10 @@
-"""Speedups of the array-compiled kernels over the pure-Python oracle.
+"""Speedup of the batched scenario kernel over per-plan replay.
 
-Two floors, both ratios (wall clock is CI noise; a collapsing speedup
-is a real regression on any machine):
-
-* the estimator kernel (``repro.kernels.estimator``) against
-  ``REPRO_KERNELS=0`` on a Fig. 7-scale estimation — same
-  :class:`~repro.schedule.estimation.FtEstimate`, bit for bit;
-* the batched scenario kernel (``repro.kernels.batch``) against
-  per-plan :func:`~repro.runtime.simulate` on one synthesized design —
-  same :class:`~repro.runtime.SimulationResult` per plan, bit for bit.
+One floor, a ratio (wall clock is CI noise; a collapsing speedup is a
+real regression on any machine): the batched scenario kernel
+(``repro.kernels.batch``) against per-plan
+:func:`~repro.runtime.simulate` on one synthesized design — same
+:class:`~repro.runtime.SimulationResult` per plan, bit for bit.
 
 The batched floor is deliberately conservative (3x) next to the
 measured steady-state speedup (tens of x, reported as
@@ -29,105 +25,20 @@ from itertools import islice
 from repro.campaigns.runner import synthesize_campaign_design
 from repro.eval.core import EvaluatorPool
 from repro.ftcpg import iter_fault_plans
-from repro.kernels import KERNELS_ENV
 from repro.model import FaultModel
-from repro.policies import PolicyAssignment, ProcessPolicy
 from repro.runtime import simulate
-from repro.schedule import estimate_ft_schedule
-from repro.synthesis import initial_mapping
 from repro.synthesis.tabu import TabuSettings
 from repro.verify.runner import load_verify_workload
-from repro.workloads import GeneratorConfig, generate_workload
 
 QUICK = os.environ.get("REPRO_BENCH_PROFILE", "quick") != "full"
 
-#: Above Fig. 7 territory (20..80 processes): the estimator kernel's
-#: advantage grows with problem size, so measure where it is stable.
-EST_PROCESSES = 100 if QUICK else 200
-EST_REPS = 25
-EST_TRIALS = 5
 BATCH_PROCESSES = 25 if QUICK else 40
 #: Oracle plans timed (bounds CI time); kernel runs the full sample.
 ORACLE_PLANS = 30 if QUICK else 60
 KERNEL_PLANS = 300 if QUICK else 600
 
-#: Acceptance floors (both profiles). The estimator floor is modest —
-#: the kernel reuses the oracle's bus/send machinery and only the
-#: table-driven schedule loop accelerates (measured ~1.4x); the
-#: batched floor sits far under the measured tens-of-x. Both absorb
-#: shared-runner noise via interleaved best-of-N timing.
-MIN_ESTIMATOR_SPEEDUP = 1.1
+#: Acceptance floor (both profiles).
 MIN_BATCH_SPEEDUP = 3.0
-
-
-def _kernels_off():
-    """Environment patch forcing the pure-Python oracle."""
-    saved = os.environ.get(KERNELS_ENV)
-    os.environ[KERNELS_ENV] = "0"
-    return saved
-
-
-def _restore(saved):
-    if saved is None:
-        os.environ.pop(KERNELS_ENV, None)
-    else:
-        os.environ[KERNELS_ENV] = saved
-
-
-def test_estimator_kernel_speedup(benchmark):
-    app, arch = generate_workload(GeneratorConfig(
-        processes=EST_PROCESSES, nodes=4, seed=13))
-    k = 4
-    policies = PolicyAssignment.uniform(app,
-                                        ProcessPolicy.re_execution(k))
-    mapping = initial_mapping(app, arch, policies)
-    fault_model = FaultModel(k=k)
-
-    def estimate_once():
-        return estimate_ft_schedule(app, arch, mapping, policies,
-                                    fault_model, bus_contention=True)
-
-    def timed_reps():
-        started = time.perf_counter()
-        for __ in range(EST_REPS):
-            estimate_once()
-        return time.perf_counter() - started
-
-    saved = _kernels_off()
-    try:
-        oracle = estimate_once()
-    finally:
-        _restore(saved)
-
-    # Identical bits before any timing matters.
-    assert estimate_once() == oracle
-
-    # Interleaved best-of-N: each trial times the oracle and the
-    # kernel back to back, so a load spike on a shared runner hits
-    # both sides and the min-based ratio stays honest.
-    oracle_time = kernel_time = float("inf")
-    for __ in range(EST_TRIALS):
-        saved = _kernels_off()
-        try:
-            oracle_time = min(oracle_time, timed_reps())
-        finally:
-            _restore(saved)
-        kernel_time = min(kernel_time, timed_reps())
-
-    kernel = benchmark.pedantic(estimate_once, rounds=3, iterations=1)
-    assert kernel == oracle
-
-    speedup = oracle_time / kernel_time if kernel_time else 0.0
-    benchmark.extra_info["processes"] = EST_PROCESSES
-    benchmark.extra_info["reps"] = EST_REPS
-    benchmark.extra_info["trials"] = EST_TRIALS
-    benchmark.extra_info["oracle_seconds"] = round(oracle_time, 3)
-    benchmark.extra_info["kernel_seconds"] = round(kernel_time, 3)
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    assert speedup >= MIN_ESTIMATOR_SPEEDUP, (
-        f"estimator kernel speedup {speedup:.2f} below floor "
-        f"{MIN_ESTIMATOR_SPEEDUP} (oracle {oracle_time:.3f}s, kernel "
-        f"{kernel_time:.3f}s over {EST_REPS} estimations)")
 
 
 def _batch_design():

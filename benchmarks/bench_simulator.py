@@ -1,46 +1,16 @@
 """Throughput of the runtime simulator and the exhaustive verifier on
-the paper's Fig. 5 example (15 fault scenarios, k = 2), plus the
-DES-vs-replay throughput floor.
-
-The event-driven core routes table-expressible scenarios through its
-deterministic queue into the *same* replay handlers, so it pays the
-queue overhead (push, eps-clustered pops) on top of replay's work.
-The floor pins that overhead: on a Fig. 7-scale fault-free run the
-DES must stay **within 3x** of straight table replay
-(``des_ratio = replay_time / des_time >= 1/3``), while producing the
-bit-identical result — the tax for one engine serving both the oracle
-scenarios and the DES-only axes.
+the paper's Fig. 5 example (15 fault scenarios, k = 2).
 
 Run:  pytest benchmarks/bench_simulator.py --benchmark-only
-
-``REPRO_BENCH_PROFILE=full`` widens the workload (default: quick).
 """
 
 from __future__ import annotations
 
-import os
-import time
-
-from repro.campaigns.runner import synthesize_campaign_design
-from repro.des import DesSimulator
-from repro.eval.core import EvaluatorPool
 from repro.ftcpg import FaultPlan
-from repro.model import FaultModel
 from repro.policies import PolicyAssignment, ProcessPolicy
 from repro.runtime import simulate, verify_tolerance
 from repro.schedule import synthesize_schedule
-from repro.synthesis.tabu import TabuSettings
-from repro.verify.runner import load_verify_workload
 from repro.workloads import fig5_example
-
-QUICK = os.environ.get("REPRO_BENCH_PROFILE", "quick") != "full"
-
-#: Fig. 7 territory: the paper sweeps 20..80 processes.
-FIG7_PROCESSES = 20 if QUICK else 30
-FIG7_REPS = 50 if QUICK else 100
-
-#: Acceptance floor: DES within 3x of table replay (both profiles).
-MIN_DES_RATIO = 1.0 / 3.0
 
 
 def _setup():
@@ -69,57 +39,3 @@ def test_exhaustive_verification(benchmark):
                        fm, schedule, tr)
     benchmark.extra_info["scenarios"] = report.scenarios
     assert report.ok
-
-
-def _fig7_design():
-    """One synthesized Fig. 7-scale design (same recipe as
-    ``bench_verify``)."""
-    workload = {"processes": FIG7_PROCESSES, "nodes": 3, "seed": 1}
-    app, arch, __ = load_verify_workload(workload)
-    pool = EvaluatorPool()
-    settings = TabuSettings(iterations=6, neighborhood=6,
-                            bus_contention=False)
-    result = synthesize_campaign_design(app, arch, 2, "MXR", settings,
-                                        1, pool=pool)
-    fault_model = FaultModel(k=2)
-    evaluator = pool.evaluator_for(app, arch, fault_model)
-    schedule = evaluator.exact_schedule(result.policies,
-                                        result.mapping)
-    return app, arch, result.mapping, result.policies, fault_model, \
-        schedule
-
-
-def test_des_within_3x_of_replay(benchmark):
-    app, arch, mapping, policies, fm, schedule = _fig7_design()
-    plan = FaultPlan({})
-
-    started = time.perf_counter()
-    for __ in range(FIG7_REPS):
-        replayed = simulate(app, arch, mapping, policies, fm,
-                            schedule, plan)
-    replay_time = time.perf_counter() - started
-
-    des = DesSimulator(app, arch, mapping, policies, fm, schedule,
-                       use_des=True)
-
-    def _run_des():
-        for __ in range(FIG7_REPS):
-            result = des.simulate(plan)
-        return result
-
-    queued = benchmark.pedantic(_run_des, rounds=1, iterations=1)
-    des_time = benchmark.stats.stats.total
-
-    # One engine, two paths, identical bits.
-    assert queued == replayed
-
-    ratio = replay_time / des_time if des_time else 0.0
-    benchmark.extra_info["processes"] = FIG7_PROCESSES
-    benchmark.extra_info["reps"] = FIG7_REPS
-    benchmark.extra_info["replay_seconds"] = round(replay_time, 3)
-    benchmark.extra_info["des_seconds"] = round(des_time, 3)
-    benchmark.extra_info["des_ratio"] = round(ratio, 2)
-    assert ratio >= MIN_DES_RATIO, (
-        f"DES fell beyond 3x of replay: ratio {ratio:.2f} "
-        f"(replay {replay_time:.3f}s, DES {des_time:.3f}s over "
-        f"{FIG7_REPS} fault-free runs)")

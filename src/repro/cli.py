@@ -587,11 +587,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "REPRO_EVAL_CACHE_DIR environment "
                             "variable")
         p.add_argument("--no-kernels", action="store_true",
-                       help="force the pure-Python oracle instead of "
-                            "the array-compiled kernels (exported as "
-                            "REPRO_KERNELS=0 so engine workers "
-                            "inherit it); reports are byte-identical "
-                            "either way")
+                       help="replay scenarios one plan at a time "
+                            "through the pure-Python simulator instead "
+                            "of the batched scenario-replay kernel "
+                            "(exported as REPRO_KERNELS=0 so engine "
+                            "workers inherit it); reports are "
+                            "byte-identical either way")
 
     p_synth = sub.add_parser("synth", help="run one synthesis strategy")
     add_workload_args(p_synth)
@@ -893,8 +894,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "with the coordinator (see the sweep "
                                "commands' --cache-dir)")
     p_worker.add_argument("--no-kernels", action="store_true",
-                          help="force the pure-Python oracle (see the "
-                               "sweep commands' --no-kernels)")
+                          help="force per-plan scenario replay (see "
+                               "the sweep commands' --no-kernels)")
     p_worker.set_defaults(func=_cmd_worker)
     return parser
 

@@ -22,8 +22,7 @@ Caching never changes results: every tier memoizes a pure function of
 its key, and the incremental estimate path is bit-identical to the
 full recompute (enforced by tests and
 ``benchmarks/bench_incremental_eval.py``). Setting
-``incremental=False`` (or the ``REPRO_EVAL_INCREMENTAL=0``
-environment variable) forces full recomputes — the oracle mode the
+``incremental=False`` forces full recomputes — the oracle mode the
 identity tests compare against.
 
 :class:`EvaluatorPool` hands out one :class:`Evaluator` per problem
@@ -33,7 +32,6 @@ fingerprint — the object a sweep cell shares across the NFT baseline
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
@@ -74,19 +72,6 @@ DEFAULT_MAX_ENTRIES = 50_000
 #: Exact schedules and design bundles are orders of magnitude larger
 #: than estimates; their tiers get a correspondingly smaller bound.
 DEFAULT_MAX_SCHEDULES = 512
-
-
-def incremental_default() -> bool:
-    """Process-wide default for the incremental estimate path.
-
-    ``REPRO_EVAL_INCREMENTAL=0`` (or ``false``/``off``/``no``) forces
-    full re-evaluation everywhere — the oracle mode used by the
-    identity tests and the benchmark baseline. The variable is read
-    per :class:`Evaluator` construction, so worker processes inherit
-    the choice through their environment.
-    """
-    value = os.environ.get("REPRO_EVAL_INCREMENTAL", "1")
-    return value.strip().lower() not in ("0", "false", "off", "no")
 
 
 @dataclass(frozen=True)
@@ -223,14 +208,12 @@ class Evaluator:
     def __init__(self, problem: ScheduleProblem, *,
                  max_entries: int | None = DEFAULT_MAX_ENTRIES,
                  max_schedules: int | None = DEFAULT_MAX_SCHEDULES,
-                 incremental: bool | None = None,
+                 incremental: bool = True,
                  disk: DiskCache | None = None) -> None:
         self._problem = problem
         self._estimates = _LruTier(max_entries)
         self._schedules = _LruTier(max_schedules)
         self._designs = _LruTier(max_schedules)
-        if incremental is None:
-            incremental = incremental_default()
         self._incremental = incremental
         self._disk = disk
         self._disk_problem = (disk.problem_key(problem.fingerprint)
@@ -435,7 +418,7 @@ class EvaluatorPool:
     def __init__(self, *,
                  max_entries: int | None = DEFAULT_MAX_ENTRIES,
                  max_schedules: int | None = DEFAULT_MAX_SCHEDULES,
-                 incremental: bool | None = None,
+                 incremental: bool = True,
                  cache_dir: object = _ENV_DEFAULT) -> None:
         self._max_entries = max_entries
         self._max_schedules = max_schedules

@@ -1,33 +1,24 @@
-"""Array-compiled estimation/simulation kernels (bit-identical).
+"""Batched scenario-replay kernel (bit-identical).
 
-The two hottest inner loops of the reproduction — the slack-sharing
-list scheduler in :mod:`repro.schedule.estimation` and the table-replay
-simulator in :mod:`repro.runtime.simulator` — spend most of their time
-rebuilding per-run context (structure tables, copy costs, ground-truth
-dictionaries) and hashing composite keys. This package lowers one
-problem (or one design's schedule) into flat integer-indexed tables
-**once** and then runs index-based kernels over them:
+The table-replay simulator in :mod:`repro.runtime.simulator` spends
+most of its time rebuilding per-run context (ground-truth dictionaries,
+guard evaluation) for every fault scenario of one design. This package
+lowers one design's schedule into flat integer-indexed tables **once**
+and advances many fault plans through them:
 
-* :mod:`repro.kernels.tables` — the per-problem "compile" step:
-  process indices, successor/input CSR adjacency, per-copy cost
-  vectors and the shared TDMA/send-memo context, cached per
-  ``(app, arch, k, priorities)``;
-* :mod:`repro.kernels.estimator` — the estimator's schedule loop and
-  slack pools rewritten over those tables, materializing a genuine
-  :class:`~repro.schedule.estimation.EstimatorState`;
 * :mod:`repro.kernels.batch` — a batched scenario kernel advancing
   many fault plans of one design through the table replay with
   delta ground truth and delta guard evaluation, behind
   :func:`~repro.kernels.batch.replay_plans`, the one switch point
   every scenario-replay loop goes through.
 
-Bit-identity is the acceptance gate, exactly as for
-``REPRO_EVAL_INCREMENTAL`` (PR 4) and ``REPRO_DES`` (PR 8): the
-kernels perform the *identical* IEEE arithmetic in the *identical*
-order as the pure-Python oracle, so every estimate, simulation result,
-report and cache key matches byte for byte. ``REPRO_KERNELS=0``
-forces the oracle everywhere — the escape hatch the differential
-tests in ``tests/test_oracle.py`` compare against.
+Bit-identity is the acceptance gate: the kernel performs the
+*identical* IEEE arithmetic in the *identical* order as the
+pure-Python replay, so every simulation result and report matches
+byte for byte. ``REPRO_KERNELS=0`` forces per-plan
+:func:`~repro.runtime.simulator.simulate` in ``replay_plans`` — the
+library's only escape hatch, and the mode the differential tests in
+``tests/test_oracle.py`` compare against.
 
 Integer and float tables use plain Python ``list``/``array`` storage;
 :mod:`numpy`, when importable, accelerates only the int8 guard/state
@@ -52,13 +43,13 @@ KERNELS_ENV = "REPRO_KERNELS"
 
 
 def kernels_enabled() -> bool:
-    """Process-wide switch for the array-compiled kernels.
+    """Process-wide switch for the batched scenario-replay kernel.
 
-    ``REPRO_KERNELS=0`` (or ``false``/``off``/``no``) forces the
-    pure-Python oracle everywhere — the mode the identity tests and
-    benchmark baselines compare against. Read at every decision point,
-    so tests can flip it per case and worker processes inherit the
-    choice through their environment.
+    ``REPRO_KERNELS=0`` (or ``false``/``off``/``no``) forces per-plan
+    table replay in :func:`~repro.kernels.batch.replay_plans` — the
+    mode the identity tests and benchmark baselines compare against.
+    Read at every decision point, so tests can flip it per case and
+    worker processes inherit the choice through their environment.
     """
     value = os.environ.get(KERNELS_ENV, "1")
     return value.strip().lower() not in ("0", "false", "off", "no")
@@ -92,8 +83,7 @@ class KernelCounters:
     interactive inspection only.
     """
 
-    __slots__ = ("problems_compiled", "schedules_compiled",
-                 "estimator_runs", "batched_scenarios",
+    __slots__ = ("schedules_compiled", "batched_scenarios",
                  "oracle_fallbacks")
 
     def __init__(self) -> None:
@@ -101,18 +91,14 @@ class KernelCounters:
 
     def reset(self) -> None:
         """Zero every counter."""
-        self.problems_compiled = 0
         self.schedules_compiled = 0
-        self.estimator_runs = 0
         self.batched_scenarios = 0
         self.oracle_fallbacks = 0
 
     def snapshot(self) -> dict[str, int]:
         """Counter values as a plain dict."""
         return {
-            "problems_compiled": self.problems_compiled,
             "schedules_compiled": self.schedules_compiled,
-            "estimator_runs": self.estimator_runs,
             "batched_scenarios": self.batched_scenarios,
             "oracle_fallbacks": self.oracle_fallbacks,
         }

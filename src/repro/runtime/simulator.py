@@ -161,10 +161,7 @@ class _ReplayState:
     One instance replays one fault scenario: :meth:`prime` derives the
     per-node condition-knowledge times from the fired entries,
     :meth:`step` processes one entry (in replay order), and
-    :meth:`finish` applies the completion/deadline checks. Both the
-    sorted replay above and the event-queue-ordered DES table path
-    drive this same object, so their results are one implementation,
-    not two kept in sync.
+    :meth:`finish` applies the completion/deadline checks.
     """
 
     def __init__(self, app: Application, arch: Architecture,

@@ -3,18 +3,18 @@ DES-only fault axes.
 
 Table-expressible scenarios must be **bit-identical** between
 :class:`~repro.des.core.DesSimulator` and the table-replay oracle —
-full :class:`~repro.runtime.simulator.SimulationResult` equality, in
-every configuration of the ``REPRO_DES`` escape hatch. The DES-only
-axes (intermittent windows, corrupted slots, release jitter) have no
-oracle; their unit semantics are pinned here against the paper's
-Fig. 5 design, and their full traces in ``tests/test_golden_traces.py``.
+full :class:`~repro.runtime.simulator.SimulationResult` equality. The
+DES-only axes (intermittent windows, corrupted slots, release jitter)
+have no oracle; their unit semantics are pinned here against the
+paper's Fig. 5 design, and their full traces in
+``tests/test_golden_traces.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.des import DesSimulator, des_default, simulate_des
+from repro.des import DesSimulator, simulate_des
 from repro.des.events import DesEventKind
 from repro.ftcpg.scenarios import (
     DesFaultPlan,
@@ -53,6 +53,8 @@ class TestOracleSeam:
             expected = simulate(app, arch, mapping, policies, fm,
                                 schedule, plan)
             assert des.simulate(plan) == expected, plan.describe()
+            assert simulate_des(app, arch, mapping, policies, fm,
+                                schedule, plan) == expected
 
     def test_bare_des_plan_unwraps_to_its_base(self, fig5_design):
         app, arch, mapping, policies, fm, schedule = fig5_design
@@ -65,29 +67,6 @@ class TestOracleSeam:
         # the oracle's result.
         assert result == des.simulate(base)
         assert result.plan == base
-
-    def test_use_des_override_and_env_hatch(self, fig5_design,
-                                            monkeypatch):
-        app, arch, mapping, policies, fm, schedule = fig5_design
-        plan = next(p for p in iter_fault_plans(app, policies, fm.k)
-                    if p.total_faults == fm.k)
-        queued = DesSimulator(app, arch, mapping, policies, fm,
-                              schedule, use_des=True).run(plan)
-        oracle = DesSimulator(app, arch, mapping, policies, fm,
-                              schedule, use_des=False).run(plan)
-        assert queued.result == oracle.result
-        assert queued.events == oracle.events
-
-        monkeypatch.setenv("REPRO_DES", "0")
-        assert not des_default()
-        hatched = simulate_des(app, arch, mapping, policies, fm,
-                               schedule, plan)
-        monkeypatch.setenv("REPRO_DES", "1")
-        assert des_default()
-        assert hatched == simulate_des(app, arch, mapping, policies,
-                                       fm, schedule, plan)
-        monkeypatch.delenv("REPRO_DES")
-        assert des_default()
 
     def test_table_path_produces_an_event_log(self, fig5_design):
         app, arch, mapping, policies, fm, schedule = fig5_design

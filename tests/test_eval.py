@@ -10,6 +10,8 @@ the incremental path on and forced off.
 
 from __future__ import annotations
 
+import functools
+
 from repro.dse import DseConfig, SpaceConfig, run_dse
 from repro.engine import EngineConfig
 from repro.eval import (
@@ -17,7 +19,6 @@ from repro.eval import (
     Evaluator,
     EvaluatorPool,
     ScheduleProblem,
-    incremental_default,
     problem_fingerprint,
 )
 from repro.model import FaultModel, Transparency
@@ -194,16 +195,6 @@ class TestEvaluatorTiers:
         stats = pool.stats()
         assert (stats.estimates.hits, stats.estimates.misses) == (1, 1)
 
-    def test_incremental_default_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EVAL_INCREMENTAL", raising=False)
-        assert incremental_default() is True
-        monkeypatch.setenv("REPRO_EVAL_INCREMENTAL", "0")
-        assert incremental_default() is False
-        app, arch = small_workload()
-        evaluator = Evaluator(ScheduleProblem.for_workload(
-            app, arch, FaultModel(k=2)))
-        assert evaluator.incremental is False
-
 
 class TestIncrementalExactness:
     """The tentpole invariant: incremental on == incremental off."""
@@ -230,14 +221,14 @@ class TestIncrementalExactness:
         assert dict(on.policies.items()) == dict(off.policies.items())
         assert on.evaluations == off.evaluations
 
-    def test_synthesize_identical_under_forced_full(self, monkeypatch):
+    def test_synthesize_identical_under_forced_full(self):
         app, arch = small_workload()
         fm = FaultModel(k=2)
         results = []
-        for flag in ("1", "0"):
-            monkeypatch.setenv("REPRO_EVAL_INCREMENTAL", flag)
-            results.append(synthesize(app, arch, fm, "MXR",
-                                      settings=SETTINGS))
+        for incremental in (True, False):
+            results.append(synthesize(
+                app, arch, fm, "MXR", settings=SETTINGS,
+                cache=EvaluatorPool(incremental=incremental)))
         on, off = results
         assert on.schedule_length == off.schedule_length
         assert on.nft_length == off.nft_length
@@ -274,12 +265,15 @@ class TestIncrementalExactness:
             settings=TabuSettings(iterations=4, neighborhood=4,
                                   bus_contention=False),
         )
-        reports = []
-        for flag in ("1", "0"):
-            monkeypatch.setenv("REPRO_EVAL_INCREMENTAL", flag)
-            reports.append(run_dse(
-                config, engine_config=EngineConfig(workers=1)))
-        assert reports[0].to_json() == reports[1].to_json()
+        # Serial backend, one worker: the patched pool is what every
+        # chunk builds, so the second run evaluates full-recompute only.
+        engine_config = EngineConfig(workers=1, backend="serial")
+        incremental = run_dse(config, engine_config=engine_config)
+        monkeypatch.setattr(
+            "repro.dse.explorer.EvaluatorPool",
+            functools.partial(EvaluatorPool, incremental=False))
+        full = run_dse(config, engine_config=engine_config)
+        assert incremental.to_json() == full.to_json()
 
 
 class TestPolicyRefinementParity:

@@ -1,10 +1,10 @@
-"""Array-kernel seams: escape hatch, telemetry, cache identity.
+"""Scenario-replay kernel seams: escape hatch, telemetry, cache
+identity.
 
-The heavy bit-identity legs live in ``tests/test_oracle.py`` (the
-grid asserts full estimate and simulation equality kernel-on vs
-``REPRO_KERNELS=0`` on every design; the move-walk property closes
-the compute-kernel == compute-oracle == ``reevaluate`` triangle).
-This file pins everything *around* those legs:
+The heavy bit-identity leg lives in ``tests/test_oracle.py`` (the
+grid asserts full simulation equality of the batched kernel against
+per-plan replay on every design). This file pins everything *around*
+that leg:
 
 * the ``REPRO_KERNELS`` escape hatch parsing and CLI threading;
 * the batched kernel's oracle fallback (counted, bit-identical);

@@ -86,3 +86,25 @@ def test_docstrings_everywhere():
             obj = getattr(package, name)
             if inspect.isclass(obj) or inspect.isfunction(obj):
                 assert inspect.getdoc(obj), f"{package.__name__}.{name}"
+
+
+def test_environment_variables_are_pinned():
+    """The library reads exactly two ``REPRO_*`` variables: the
+    scenario-replay escape hatch and the disk-cache deployment path.
+    A new string constant naming another one fails here, so no escape
+    hatch appears unnoticed."""
+    import ast
+    import re
+    from pathlib import Path
+
+    pattern = re.compile(r"REPRO_[A-Z_]+")
+    source_root = Path(repro.__file__).resolve().parent
+    names = set()
+    for path in source_root.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names.update(
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and pattern.fullmatch(node.value))
+    assert names == {"REPRO_KERNELS", "REPRO_EVAL_CACHE_DIR"}
